@@ -28,19 +28,22 @@
 //	         [-deadline ticks] [-tick d] [-quantum d] [-distributed]
 //	         [-ring N] [-trace out.json] [-batch N]
 //	         [-shards N] [-rebalance ticks] [-route-header name] [-steal N]
-//	         [-reply-coalesce=bool] [-reply-spin N] [-fair-locks]
-//	         [-mux] [-pollers N] [-maxconns N] [-idle ticks]
+//	         [-reply-spin N] [-mux] [-pollers N] [-maxconns N] [-idle ticks]
 //	         [-autoscale] [-min-shards N] [-max-shards N]
 //	         [-scale-up-load N] [-scale-down-load N]
 //	         [-mlalloc] [-ml-nursery W] [-ml-semi W] [-ml-chunk W]
-//	         [-ml-region W] [-gc-seq] [-gc-aware=bool]
+//	         [-ml-region W]
+//
+// Every hot-path lock — forward rings, steal claims, the mux accept
+// inbox, admission semaphores, the server state lock — is a FIFO
+// claim/release lock (syncx.FairLock), and fabric replies complete per
+// pipelined batch and go out in one coalesced socket write.
 //
 // -mlalloc installs the allocating /work/mlalloc kernel backed by the
 // ML heap (internal/mlheap + internal/gcsync): request threads attach
 // as procs, allocate with bump pointers, and collect in parallel at
-// clean-point barriers.  -gc-seq selects the paper's one-collector
-// stop (the BENCH_gc ablation); -gc-aware=false drops the GC-aware
-// spin locks from the admission and forward-ring paths.
+// clean-point barriers.  The hot-path locks then poll the collection
+// section while queued, so a waiter never convoys a stop.
 //
 // In fabric mode the membership is elastic: the admin /scale?shards=N
 // endpoint (and, with -autoscale, a load-driven autoscaler) acquires
@@ -86,8 +89,7 @@ func main() {
 	rebalance := flag.Int64("rebalance", 50, "fabric: rebalancer period in front ticks (0 disables)")
 	routeHeader := flag.String("route-header", "X-Shard-Key", "fabric: sticky consistent-hash routing header")
 	steal := flag.Int("steal", 2, "fabric: min sibling ring occupancy before an idle shard steals (0 disables)")
-	replyCoalesce := flag.Bool("reply-coalesce", true, "fabric: batch reply completion + coalesced response writes (false restores per-cell waits and per-response writes)")
-	replySpin := flag.Int("reply-spin", 64, "fabric: adaptive reply spin budget cap, in yields before parking")
+	replySpin := flag.Int("reply-spin", 64, "fabric: fixed reply-wait budget, in yields before parking")
 	mux := flag.Bool("mux", false, "fabric: event-multiplexed front (poller pool instead of a thread per connection)")
 	pollers := flag.Int("pollers", 2, "fabric: poller thread count in -mux mode")
 	maxConns := flag.Int("maxconns", 0, "fabric: max concurrently-held front connections (0 = fabric default)")
@@ -107,9 +109,6 @@ func main() {
 	mlSemi := flag.Int("ml-semi", 1<<20, "mlalloc: semispace size in words")
 	mlChunk := flag.Int("ml-chunk", 1024, "mlalloc: per-proc allocation chunk in words")
 	mlRegion := flag.Int("ml-region", 512, "mlalloc: per-collector copy region in words")
-	gcSeq := flag.Bool("gc-seq", false, "mlalloc: sequential one-collector stop-the-world (ablation baseline; default parallel)")
-	gcAware := flag.Bool("gc-aware", true, "mlalloc: GC-aware spin locks on the admission/ring paths (false = plain locks ablation)")
-	fairLocks := flag.Bool("fair-locks", false, "FIFO claim/release locks on the hot paths (rings, reply waits, mux inbox, admission guards); false = TAS spin ablation baseline")
 	flag.Parse()
 
 	if *shards > 1 || *mux {
@@ -130,8 +129,6 @@ func main() {
 			BatchMax:       *batch,
 			StealMin:       *steal,
 			ReplySpin:      *replySpin,
-			PerCellReplies: !*replyCoalesce,
-			FairLocks:      *fairLocks,
 			RebalanceTicks: *rebalance,
 			RouteHeader:    *routeHeader,
 			Tick:           *tick,
@@ -154,8 +151,6 @@ func main() {
 			MLSemi:         *mlSemi,
 			MLChunk:        *mlChunk,
 			MLRegion:       *mlRegion,
-			MLGCSequential: *gcSeq,
-			MLGCPlainLocks: !*gcAware,
 		})
 		return
 	}
@@ -185,7 +180,6 @@ func main() {
 			RegionWords:  *mlRegion,
 			Procs:        *inflight,
 		})
-		world.SetSequential(*gcSeq)
 	}
 
 	srv, err := serve.New(sys, serve.Options{
@@ -197,8 +191,6 @@ func main() {
 		Tick:          *tick,
 		Tracer:        tr,
 		MLWorld:       world,
-		MLGCAware:     *gcAware,
-		FairLocks:     *fairLocks,
 
 		StreamHeartbeatTicks: *hb,
 	})
@@ -300,9 +292,9 @@ func runFabric(opts shard.Options) {
 	if opts.Mux {
 		front = fmt.Sprintf("mux/pollers=%d", opts.Pollers)
 	}
-	fmt.Printf("mpserved fabric listening on %s (shards=%d procs/shard=%d inflight=%d rebalance=%d ticks batch=%d steal=%d reply-coalesce=%v reply-spin=%d fair-locks=%v front=%s autoscale=%v)\n",
+	fmt.Printf("mpserved fabric listening on %s (shards=%d procs/shard=%d inflight=%d rebalance=%d ticks batch=%d steal=%d reply-spin=%d front=%s autoscale=%v)\n",
 		fab.Addr(), opts.Shards, opts.BackendProcs, opts.MaxInFlight, opts.RebalanceTicks,
-		opts.BatchMax, opts.StealMin, !opts.PerCellReplies, opts.ReplySpin, opts.FairLocks, front, opts.Autoscale)
+		opts.BatchMax, opts.StealMin, opts.ReplySpin, front, opts.Autoscale)
 	start := time.Now()
 	for _, r := range fab.Runners() {
 		opts.Spawn(r)

@@ -1,9 +1,8 @@
 package gcsync
 
 // Regression coverage for the fair claim/release protocol's GC
-// composition (extends TestGCAwareLockSpinnerJoins): claimants parked
-// in a FairLock's FIFO queue during a stop-the-world must not stall the
-// parallel collection.  The fair queue is the worst case for the MPL
+// composition: claimants parked in a FairLock's FIFO queue during a
+// stop-the-world must not stall the parallel collection.  The fair queue is the worst case for the MPL
 // lockTake discipline — the holder never releases during the stop and
 // every queued claimant is ordered behind it, so if the claim loop were
 // not a safe point the whole queue would convoy the barrier.

@@ -20,12 +20,14 @@
 // lets a spinner mid-spin either join the collection at a true clean
 // point (if its goroutine is Bound to an Alloc) or steal copying work —
 // MPL's Parallel_lockTake discipline, so a proc spinning on any lock
-// can never convoy a collection.  SetSequential selects the paper's
-// one-collector behaviour as the ablation baseline.
+// can never convoy a collection.  The paper's one-collector behaviour
+// stays in mlheap (Heap.Collect) as the reference the parallel copy is
+// tested against.
 //
-// Constraints inherited from the paper's design: a proc must not spin
-// on a mutex held by a proc that is blocked in a collection unless the
-// spin is GC-aware (spinlock.GCAware), and a proc that stops allocating
+// Constraints inherited from the paper's design: a proc must not wait
+// on a lock held by a proc that is blocked in a collection unless the
+// wait polls the GC section (syncx.FairLock over a spinlock.GCWorld),
+// and a proc that stops allocating
 // for a long stretch should call CleanPoint periodically or Detach so
 // it cannot stall a collection.
 package gcsync
@@ -62,10 +64,9 @@ type World struct {
 	generation uint64
 	genAtomic  atomic.Uint64 // lock-free mirror of generation, for unlocked helper spins
 	gcs        int
-	sequential bool          // ablation: one proc collects, the rest wait
-	yield      func()        // how barrier waiters idle (green-thread systems install sys.Yield)
-	now        func() int64  // tick source for pause accounting (virtual in tests)
-	stopStart  int64         // tick when the current stop was requested
+	yield      func()       // how barrier waiters idle (green-thread systems install sys.Yield)
+	now        func() int64 // tick source for pause accounting (virtual in tests)
+	stopStart  int64        // tick when the current stop was requested
 	bound      map[uint64]*Alloc
 
 	plan atomic.Pointer[mlheap.Collection] // active parallel plan, for lock-free Help
@@ -111,15 +112,6 @@ func NewWorld(cfg mlheap.Config) *World {
 
 // Heap exposes the underlying heap for reads (Get/Set/Len).
 func (w *World) Heap() *mlheap.Heap { return w.heap }
-
-// SetSequential selects the paper's sequential collection (one proc
-// collects, the rest wait) instead of the parallel plan — the ablation
-// baseline.  Call before the first allocation.
-func (w *World) SetSequential(seq bool) {
-	w.mu.Lock()
-	w.sequential = seq
-	w.mu.Unlock()
-}
 
 // SetYield installs the wait primitive barrier waiters use while a
 // collection is pending.  Worlds whose procs are green threads MUST
@@ -585,8 +577,8 @@ func (a *Alloc) waitForGCLocked(extra []*mlheap.Value) {
 // trace span is emitted on a ring that goroutine owns (trace rings are
 // single-writer).
 //
-// Under the parallel plan the lock is dropped while the copy runs so
-// that barrier waiters (and GC-aware lock spinners) can steal work; the
+// The lock is dropped while the parallel copy runs so that barrier
+// waiters (and FairLock claimants) can steal work; the
 // collecting flag keeps registration changes out for the duration.  The
 // coordinating goroutine itself polls with runtime.Gosched — never the
 // green yield hook, because Detach-driven collections may run on host
@@ -608,17 +600,13 @@ func (w *World) runCollectionLocked(collector *Alloc) {
 	w.rootScratch = roots
 	w.collecting = true
 	stopped := w.now()
-	if w.sequential {
-		w.heap.Collect(roots)
-	} else {
-		c := w.heap.StartCollect(roots)
-		w.plan.Store(c)
-		w.cond.Broadcast() // switch cond-blocked waiters into helpers
-		w.mu.Unlock()
-		c.Run(nil)
-		w.mu.Lock()
-		w.plan.Store(nil)
-	}
+	c := w.heap.StartCollect(roots)
+	w.plan.Store(c)
+	w.cond.Broadcast() // switch cond-blocked waiters into helpers
+	w.mu.Unlock()
+	c.Run(nil)
+	w.mu.Lock()
+	w.plan.Store(nil)
 	end := w.now()
 	stop, pause := stopped-w.stopStart, end-w.stopStart
 	w.stopTicks.Observe(collector.tid, stop)

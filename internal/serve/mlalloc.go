@@ -10,8 +10,7 @@ package serve
 // detaches.  Under load, concurrent requests exhaust the nursery and
 // meet at the clean-point barrier, where they collect in parallel —
 // the /metrics counters mlheap.gc_pause_ticks, mlheap.par_copied_words
-// and gcsync.section_entries expose exactly that machinery, and
-// BENCH_gc.json compares it against the sequential ablation.
+// and gcsync.section_entries expose exactly that machinery.
 
 import (
 	"fmt"
@@ -19,8 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gcsync"
 	"repro/internal/mlheap"
-	"repro/internal/spinlock"
-	"repro/internal/syncx"
 )
 
 const (
@@ -32,21 +29,13 @@ const (
 // initMLAlloc wires the shared world into the server: the yield hook
 // (barrier waiters on a green-thread world must yield the scheduler,
 // not park the OS thread), the shared registry record the handlers
-// publish into, its GC-aware guard lock, and the /work/mlalloc route.
-// Called from New when Options.MLWorld is set.
-func (srv *Server) initMLAlloc() {
+// publish into, its guard lock (built by lockf, which polls the world's
+// GC section), and the /work/mlalloc route.  Called from New when
+// Options.MLWorld is set.
+func (srv *Server) initMLAlloc(lockf core.LockFactory) {
 	w := srv.opts.MLWorld
 	srv.mlWorld = w
-	switch {
-	case srv.opts.FairLocks && srv.opts.MLGCAware:
-		srv.mlLock = syncx.FairFactory(w, nil)()
-	case srv.opts.FairLocks:
-		srv.mlLock = syncx.FairFactory(nil, nil)()
-	case srv.opts.MLGCAware:
-		srv.mlLock = spinlock.GCAware(core.NewMutexLock, w)()
-	default:
-		srv.mlLock = core.NewMutexLock()
-	}
+	srv.mlLock = lockf()
 	// Bootstrap the shared registry on the host goroutine: attach a
 	// temporary proc, allocate the record, hand the root to the world.
 	// This happens before the yield hook is installed — the host
@@ -83,9 +72,9 @@ func (srv *Server) handleMLAlloc(req *Request) Response {
 	// Attach as a proc.  TryAttach refuses while a collection is pending
 	// (a fresh proc must not widen a closing barrier) and while all proc
 	// slots are taken.  When the refusal coincides with a running
-	// parallel copy and the server is GC-aware, steal copying work and
-	// re-try immediately — a tick park (milliseconds) would otherwise
-	// stretch every request that lands during a microsecond-scale stop.
+	// parallel copy, steal copying work and re-try immediately — a tick
+	// park (milliseconds) would otherwise stretch every request that
+	// lands during a microsecond-scale stop.
 	// TryHelp is lock-free by design: polling the world mutex here
 	// would contend the very barrier the stop is waiting on.  In every
 	// other case park a tick and retry rather than blocking a scheduler
@@ -98,7 +87,7 @@ func (srv *Server) handleMLAlloc(req *Request) Response {
 		if srv.Draining() || req.Expired() {
 			return Response{Status: 503, Body: []byte("mlalloc: no proc slot\n")}
 		}
-		if srv.opts.MLGCAware && srv.mlWorld.TryHelp() {
+		if srv.mlWorld.TryHelp() {
 			continue
 		}
 		srv.park(1)
@@ -150,10 +139,15 @@ func (srv *Server) handleMLAlloc(req *Request) Response {
 	srv.mlLock.Unlock()
 
 	// Fold the list back down, taking an explicit clean point every
-	// stride so a long fold cannot stall a collection.
+	// stride so a long fold cannot stall a collection.  The cursor is a
+	// root too: a collection at one of those clean points moves the
+	// cells, and an unrooted v would go on walking the old copy.
 	fold := int64(0)
 	cells := 0
-	for v := list; v != mlheap.Nil; v = h.Get(v, 1) {
+	v := list
+	a.AddRoot(&v)
+	defer a.RemoveRoot(&v)
+	for ; v != mlheap.Nil; v = h.Get(v, 1) {
 		fold += h.Get(v, 0).Int()
 		cells++
 		if cells%mlFoldStride == 0 {

@@ -27,7 +27,7 @@ func mlWorldForTest(procs int) *gcsync.World {
 
 func TestMLAllocEndToEnd(t *testing.T) {
 	world := mlWorldForTest(8)
-	ts := startServer(t, 4, Options{MLWorld: world, MLGCAware: true}, nil)
+	ts := startServer(t, 4, Options{MLWorld: world}, nil)
 
 	const clients, reqs = 6, 5
 	var wg sync.WaitGroup
@@ -37,7 +37,8 @@ func TestMLAllocEndToEnd(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for r := 0; r < reqs; r++ {
-				path := fmt.Sprintf("/work/mlalloc?n=3000&seed=%d", c*100+r)
+				seed := int64(c*100 + r)
+				path := fmt.Sprintf("/work/mlalloc?n=3000&seed=%d", seed)
 				st, _, body, err := doReq(ts.addr(), "GET", path, nil, 30*time.Second)
 				if err != nil {
 					errs <- fmt.Errorf("client %d: %v", c, err)
@@ -47,7 +48,10 @@ func TestMLAllocEndToEnd(t *testing.T) {
 					errs <- fmt.Errorf("client %d: status %d: %s", c, st, body)
 					return
 				}
-				if !strings.Contains(string(body), "cells=3000") {
+				// The fold walks the list across clean points, so a cursor
+				// left behind by a collection shows up as a wrong count or sum.
+				fold := fmt.Sprintf("fold=%d ", 3000*seed+3000*2999/2)
+				if !strings.Contains(string(body), "cells=3000 ") || !strings.Contains(string(body), fold) {
 					errs <- fmt.Errorf("client %d: unexpected body %q", c, body)
 					return
 				}
@@ -75,23 +79,5 @@ func TestMLAllocEndToEnd(t *testing.T) {
 	snap := world.Heap().Metrics().Snapshot()
 	if snap.Histograms["mlheap.gc_pause_ticks"].Count == 0 {
 		t.Error("no pauses recorded in mlheap.gc_pause_ticks")
-	}
-}
-
-// TestMLAllocSequentialAblation: the -gc-seq configuration must serve
-// the same kernel correctly with the paper's one-collector stop.
-func TestMLAllocSequentialAblation(t *testing.T) {
-	world := mlWorldForTest(8)
-	world.SetSequential(true)
-	ts := startServer(t, 4, Options{MLWorld: world}, nil)
-
-	for r := 0; r < 6; r++ {
-		st, _, body, err := doReq(ts.addr(), "GET", fmt.Sprintf("/work/mlalloc?n=4000&seed=%d", r), nil, 30*time.Second)
-		if err != nil || st != 200 {
-			t.Fatalf("request %d: status %d err %v body %s", r, st, err, body)
-		}
-	}
-	if world.GCs() == 0 {
-		t.Fatal("sequential world performed no collections under load")
 	}
 }

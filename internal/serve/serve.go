@@ -138,20 +138,13 @@ type Options struct {
 	// the world's yield hook is pointed at the thread scheduler, and the
 	// world's registry (pause/copy/section counters) joins /metrics.
 	MLWorld *gcsync.World
-	// MLGCAware guards the server's admission semaphores, state lock and
-	// the mlalloc shared-registry lock with GC-aware locks over MLWorld
-	// (spinlock.GCAware), so a thread spinning on serving-path locks
-	// joins or helps a pending collection instead of convoying it.
-	// Ignored without MLWorld; the off state is the ablation baseline.
+	// MLGCAware is ignored: with MLWorld set, the server's admission
+	// semaphores, state lock and mlalloc registry lock always poll the
+	// world's GC section, and /work/mlalloc always helps a running
+	// collection instead of parking when refused a proc slot.
+	//
+	// Deprecated: kept so existing callers still compile; set nothing.
 	MLGCAware bool
-	// FairLocks replaces the TAS spin locks guarding the admission
-	// semaphores, state lock, and mlalloc registry lock with the FIFO
-	// claim/release locks (syncx.FairLock): contenders queue in claim
-	// order and releases hand off instead of re-racing, so under skew no
-	// dispatcher loses the acquisition race repeatedly.  When MLWorld is
-	// set with MLGCAware the fair claim loop also polls the GC section.
-	// Off by default — the spin path is the ablation baseline.
-	FairLocks bool
 }
 
 // NamedRegistry labels a metrics registry for /metrics rendering.
@@ -293,23 +286,18 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("serve: listener %T is not a *net.TCPListener", ln)
 		}
 	}
-	// With a GC-aware world, the admission semaphores' guards and the
-	// state lock poll the GC section while spinning: these are exactly
-	// the locks a stopped-for-collection worker may hold, and a spinner
-	// that cannot reach a clean point would convoy the whole stop.
-	// FairLocks swaps the spin flavors for the FIFO claim/release locks;
-	// their claim loop polls the same GC section, so the two axes compose.
-	lockf := core.LockFactory(core.NewMutexLock)
-	if opts.MLWorld != nil && opts.MLGCAware {
-		lockf = spinlock.GCAware(core.NewMutexLock, opts.MLWorld)
+	// The admission semaphores' guards and the state lock are FIFO
+	// claim/release locks: contenders queue in claim order and a release
+	// hands off instead of re-racing, so under skew no dispatcher loses
+	// the acquisition race repeatedly.  With an ML world they are also
+	// the locks a stopped-for-collection worker may hold, so the claim
+	// loop polls the GC section: a waiter that cannot reach a clean point
+	// would convoy the whole stop.
+	var gcw spinlock.GCWorld
+	if opts.MLWorld != nil {
+		gcw = opts.MLWorld
 	}
-	if opts.FairLocks {
-		var gcw spinlock.GCWorld
-		if opts.MLWorld != nil && opts.MLGCAware {
-			gcw = opts.MLWorld
-		}
-		lockf = syncx.FairFactory(gcw, nil)
-	}
+	lockf := syncx.FairFactory(gcw, nil)
 	srv := &Server{
 		sys:     sys,
 		pl:      sys.Platform(),
@@ -380,7 +368,7 @@ func New(sys *threads.System, opts Options) (*Server, error) {
 	}
 	srv.installBuiltins()
 	if opts.MLWorld != nil {
-		srv.initMLAlloc()
+		srv.initMLAlloc(lockf)
 		srv.opts.ExtraMetrics = append(srv.opts.ExtraMetrics,
 			NamedRegistry{Name: "mlheap", Reg: opts.MLWorld.Heap().Metrics()})
 	}

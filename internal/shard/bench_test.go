@@ -297,7 +297,7 @@ type fairLeg struct {
 }
 
 type fairServer struct {
-	FairLocks     bool             `json:"fair_locks"`
+	Fair          bool             `json:"fair_locks"`
 	RingWaits     int64            `json:"ring_waits"`
 	RingWaitOver  int64            `json:"ring_wait_over"`
 	ReplySpin     int64            `json:"reply_spin"`
@@ -358,7 +358,7 @@ func TestBenchArtifactFairLock(t *testing.T) {
 		}
 	}
 	// The legs must have measured what they say: fair locks on/off.
-	if !bench.FairServer.FairLocks || bench.SpinServer.FairLocks {
+	if !bench.FairServer.Fair || bench.SpinServer.Fair {
 		t.Error("artifact legs inverted: fair_server must report fair_locks true, spin_server false")
 	}
 	// The claim-wait instrument must be live on the fair leg...

@@ -184,7 +184,6 @@ func (fab *Fabric) connThread(nc net.Conn) {
 	jbuf := make([]job, fab.opts.BatchMax)
 	cells := make([]reply, fab.opts.BatchMax)
 	grp := &replyGroup{}
-	sp := newSpinState(fab.opts.ReplySpin)
 	for {
 		headBudget := fab.opts.DeadlineTicks
 		if served > 0 {
@@ -216,7 +215,7 @@ func (fab *Fabric) connThread(nc net.Conn) {
 			// no longer carry front-domain ticks.
 			last := reqs[len(reqs)-1]
 			capTick := last.Deadline + 20
-			resps = fab.dispatchBatch(reqs, chash, pend, jbuf, cells, grp, &sp, resps[:0])
+			resps = fab.dispatchBatch(reqs, chash, pend, jbuf, cells, grp, resps[:0])
 			if si := streamIndex(resps); si >= 0 {
 				fab.streamConn(c, resps, si, capTick)
 				break
@@ -232,19 +231,7 @@ func (fab *Fabric) connThread(nc net.Conn) {
 				}
 				resps = append(resps, bresp)
 			}
-			var werr error
-			if fab.opts.PerCellReplies {
-				// Benchmark baseline: the pre-coalescing write path, one
-				// render and one socket write per response.
-				for i := range resps {
-					werr = c.WriteResponse(resps[i], capTick, i < len(resps)-1 || keepAlive)
-					if werr != nil {
-						break
-					}
-				}
-			} else {
-				werr = c.WriteResponses(resps, capTick, keepAlive)
-			}
+			werr := c.WriteResponses(resps, capTick, keepAlive)
 			served += len(resps)
 			if werr != nil || !keepAlive {
 				break
@@ -369,36 +356,26 @@ type pendingReply struct {
 }
 
 // dispatchBatch routes a batch of pipelined requests, forwards each run
-// of consecutive same-shard requests as one multi-push (one spinlock
+// of consecutive same-shard requests as one multi-push (one ring-lock
 // acquisition per run instead of per request), awaits the batch's reply
-// group — one adaptive-spin wait for the whole batch, since the last
-// delivery publishes it — and appends the responses to resps in request
-// order.  In Options.PerCellReplies mode the group is bypassed and each
-// cell is awaited in order (the benchmark baseline), through the same
-// adaptive spin budget.  /fabricz is answered at the front itself — the
-// fabric's own status endpoint.  pend, jbuf, and cells are caller-owned
-// scratch (≥ len(reqs) each); cells and grp are reusable because a wait
-// only returns once every pushed cell's delivery has fully completed.
+// group — one wait for the whole batch, since the last delivery
+// publishes it — and appends the responses to resps in request order.
+// /fabricz is answered at the front itself — the fabric's own status
+// endpoint.  pend, jbuf, and cells are caller-owned scratch (≥ len(reqs)
+// each); cells and grp are reusable because a wait only returns once
+// every pushed cell's delivery has fully completed.
 func (fab *Fabric) dispatchBatch(reqs []*serve.Request, chash uint32,
 	pend []pendingReply, jbuf []job, cells []reply, grp *replyGroup,
-	sp *spinState, resps []serve.Response) []serve.Response {
-	g := grp
-	if fab.opts.PerCellReplies {
-		g = nil
-	} else {
-		grp.open()
+	resps []serve.Response) []serve.Response {
+	grp.open()
+	members := fab.forwardBatch(reqs, chash, pend, jbuf, cells, grp)
+	// Cells shed on a full ring never reach a backend: retire them from
+	// the membership before waiting.
+	grp.seal(members)
+	if members > 0 {
+		fab.waitReply(grp)
 	}
-	members := fab.forwardBatch(reqs, chash, pend, jbuf, cells, g)
-	if g != nil {
-		// Cells shed on a full ring never reach a backend: retire them
-		// from the membership before waiting.
-		g.seal(members)
-		if members > 0 {
-			fab.waitReply(g.done, sp)
-		}
-		sp = nil // group already waited; collect is pure reads
-	}
-	return fab.collectBatch(reqs, pend, sp, resps)
+	return fab.collectBatch(reqs, pend, resps)
 }
 
 // forwardBatch is the non-waiting front half of a dispatch: route every
@@ -492,21 +469,17 @@ func (fab *Fabric) forwardBatch(reqs []*serve.Request, chash uint32,
 }
 
 // collectBatch appends the batch's responses to resps in request order,
-// clearing pend as it goes.  With sp non-nil each cell is awaited in
-// order (the per-cell baseline); with sp nil every cell must already be
-// delivered — after a group wait, or a poller's grp.done() — so the
-// loop is pure reads.
+// clearing pend as it goes.  Every cell must already be delivered —
+// after a group wait, or a poller's grp.done() — so the loop is pure
+// reads.
 func (fab *Fabric) collectBatch(reqs []*serve.Request, pend []pendingReply,
-	sp *spinState, resps []serve.Response) []serve.Response {
+	resps []serve.Response) []serve.Response {
 	self := proc.Self()
 	for i := range reqs {
 		if pend[i].rep == nil {
 			resps = append(resps, pend[i].resp)
 		} else {
 			rep := pend[i].rep
-			if sp != nil {
-				fab.waitReply(rep.done.Load, sp)
-			}
 			fab.m.replies.Inc(self)
 			fab.emit(fab.evReply, int64(rep.resp.Status))
 			resps = append(resps, rep.resp)
@@ -516,18 +489,12 @@ func (fab *Fabric) collectBatch(reqs []*serve.Request, pend []pendingReply,
 	return resps
 }
 
-// waitReply blocks the calling front thread until cond holds — a reply
-// cell's done flag or a group's countdown — through the connection's
-// adaptive spin budget (or, under Options.FairLocks, the memoryless
-// bounded fair wait), charging the reply-wait instruments.
-func (fab *Fabric) waitReply(cond func() bool, sp *spinState) {
+// waitReply blocks the calling front thread until a reply group's
+// countdown reaches zero, through the memoryless bounded fair wait,
+// charging the reply-wait instruments.
+func (fab *Fabric) waitReply(g *replyGroup) {
 	t0 := fab.clock.Now()
-	var spins, parks int
-	if fab.opts.FairLocks {
-		spins, parks = fairWait(cond, fab.opts.ReplySpin, fab.frontSys.Yield, fab.park)
-	} else {
-		spins, parks = spinWait(cond, sp, fab.frontSys.Yield, fab.park)
-	}
+	spins, parks := fairWait(g.done, fab.opts.ReplySpin, fab.frontSys.Yield, fab.park)
 	self := proc.Self()
 	if spins > 0 {
 		fab.m.replySpins.Add(self, int64(spins))
@@ -601,8 +568,8 @@ func (fab *Fabric) statusResponse() serve.Response {
 	if n := len(rw.Counts); n > 0 {
 		rwOver = rw.Counts[n-1] // claims past the largest bound: the tail the protocol bounds
 	}
-	body += fmt.Sprintf("fair_locks %v ring_waits %d ring_wait_over %d reply_spin %d reply_park %d\n",
-		fab.opts.FairLocks, rw.Count, rwOver,
+	body += fmt.Sprintf("ring_waits %d ring_wait_over %d reply_spin %d reply_park %d\n",
+		rw.Count, rwOver,
 		snap.Get("shard.reply_spin"), snap.Get("shard.reply_park"))
 	// Full wait bucket dumps (bound:count, last bucket = past the largest
 	// bound) so the bench harness can record both distributions: ring

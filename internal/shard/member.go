@@ -53,11 +53,11 @@ import (
 	"repro/internal/threads"
 )
 
-// fairLockFactory builds the FIFO claim/release locks Options.FairLocks
-// deploys on the fabric's hot paths, charging every *contended* claim's
-// queue wait (in claim-loop yields) to the shard.ring_wait_ticks
-// histogram.  A non-nil gcw makes each claim-loop iteration a GC safe
-// point.  The observer reads fab.m lazily: backends and pollers are
+// fairLockFactory builds the FIFO claim/release locks guarding the
+// fabric's hot paths (forward rings, steal claims, the mux accept
+// inbox), charging every *contended* claim's queue wait (in claim-loop
+// yields) to the shard.ring_wait_ticks histogram.  A non-nil gcw makes
+// each claim-loop iteration a GC safe point.  The observer reads fab.m lazily: backends and pollers are
 // built before New populates the instrument struct, and nothing locks
 // until the host starts the Runners.
 func (fab *Fabric) fairLockFactory(gcw spinlock.GCWorld) core.LockFactory {
@@ -206,14 +206,11 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 			RegionWords:  fab.opts.MLRegion,
 			Procs:        slots,
 		})
-		world.SetSequential(fab.opts.MLGCSequential)
 	}
 	srv, err := serve.New(sys, serve.Options{
 		NoListener:         true,
 		ShardID:            slot,
 		MLWorld:            world,
-		MLGCAware:          !fab.opts.MLGCPlainLocks,
-		FairLocks:          fab.opts.FairLocks,
 		MaxInFlight:        fab.opts.MaxInFlight,
 		QueueDepth:         fab.opts.QueueDepth,
 		DeadlineTicks:      fab.opts.DeadlineTicks,
@@ -244,26 +241,19 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 		id: slot, pl: pl, sys: sys, srv: srv,
 		ring: newRing(fab.opts.RingDepth), broker: broker, world: world,
 	}
+	// Fair claim/release on the forward ring: pushers, the intake, and
+	// thieves queue in claim order and the release hands off, so under
+	// skew no side loses the acquisition race repeatedly.  The ring's two
+	// sides live in different worlds — front threads push while this
+	// member's procs pop — so on an ML member the claim loop polls the
+	// GC section: whichever side waits mid-collection helps the copy (an
+	// attached proc joins the barrier, a front thread runs work units)
+	// instead of convoying the stop, the MPL lockTake move.
 	var gcw spinlock.GCWorld
-	if world != nil && !fab.opts.MLGCPlainLocks {
+	if world != nil {
 		gcw = world
 	}
-	switch {
-	case fab.opts.FairLocks:
-		// Fair claim/release on the forward ring: pushers, the intake, and
-		// thieves queue in claim order and the release hands off, so under
-		// skew no side loses the TAS race repeatedly.  The claim loop polls
-		// the same GC section the GC-aware spin wrap does (gcw nil on a
-		// non-ML member or under the plain-locks ablation).
-		b.ring.lock = fab.fairLockFactory(gcw)()
-	case gcw != nil:
-		// The ring's two sides live in different worlds: front threads
-		// push while this member's procs pop.  Wrap the ring lock
-		// GC-aware so whichever side spins mid-collection helps the copy
-		// (an attached proc joins the barrier, a front thread runs work
-		// units) instead of convoying the stop — the MPL lockTake move.
-		b.ring.lock = spinlock.GCAware(core.NewMutexLock, world)()
-	}
+	b.ring.lock = fab.fairLockFactory(gcw)()
 	b.phase.Store(phaseJoining)
 	fab.state.Lock()
 	fab.limits[slot] = procs // keep the policy thread's bookkeeping view in step

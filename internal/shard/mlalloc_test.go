@@ -41,7 +41,10 @@ func runMLAllocLoad(t *testing.T, tf *testFabric, clients, reqs, cells int) {
 			defer wg.Done()
 			kc := dialKA(t, tf.addr())
 			for r := 0; r < reqs; r++ {
-				path := fmt.Sprintf("/work/mlalloc?n=%d&seed=%d", cells, c*1000+r)
+				seed := c*1000 + r
+				path := fmt.Sprintf("/work/mlalloc?n=%d&seed=%d", cells, seed)
+				want := fmt.Sprintf("cells=%d sum=", cells)
+				fold := fmt.Sprintf("fold=%d ", cells*seed+cells*(cells-1)/2)
 				if err := kc.send(path); err != nil {
 					errs <- fmt.Errorf("client %d send: %v", c, err)
 					return
@@ -51,7 +54,7 @@ func runMLAllocLoad(t *testing.T, tf *testFabric, clients, reqs, cells int) {
 					errs <- fmt.Errorf("client %d recv: %v", c, err)
 					return
 				}
-				if st != 200 || !strings.Contains(string(body), fmt.Sprintf("cells=%d", cells)) {
+				if st != 200 || !strings.Contains(string(body), want) || !strings.Contains(string(body), fold) {
 					errs <- fmt.Errorf("client %d: status %d body %q", c, st, body)
 					return
 				}
@@ -94,18 +97,5 @@ func TestFabricMLAllocMux(t *testing.T) {
 	runMLAllocLoad(t, tf, 6, 4, 3000)
 	if fabricGCs(tf) == 0 {
 		t.Fatal("mux fabric load performed no collections on any member")
-	}
-}
-
-// TestFabricMLAllocSequentialAblation pins the -gc-seq + plain-lock
-// configuration the BENCH_gc baseline runs with.
-func TestFabricMLAllocSequentialAblation(t *testing.T) {
-	opts := mlOpts(Options{Shards: 2, BackendProcs: 2})
-	opts.MLGCSequential = true
-	opts.MLGCPlainLocks = true
-	tf := startFabric(t, opts, nil)
-	runMLAllocLoad(t, tf, 4, 3, 3000)
-	if fabricGCs(tf) == 0 {
-		t.Fatal("sequential fabric performed no collections")
 	}
 }

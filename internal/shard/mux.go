@@ -22,9 +22,9 @@ package shard
 // cannot stop every other connection's progress.
 //
 // The purity rule holds: poller threads are front MP threads
-// (threads.Fork), the inbox is a core spinlock, and all socket I/O is
-// raw fd reads/writes through serve's resumable path — no goroutines,
-// channels, or runtime netpoller involvement.
+// (threads.Fork), the inbox is a core lock (a syncx.FairLock), and all
+// socket I/O is raw fd reads/writes through serve's resumable path — no
+// goroutines, channels, or runtime netpoller involvement.
 
 import (
 	"errors"
@@ -39,7 +39,7 @@ import (
 )
 
 // muxInbox is the acceptor→poller handoff: the only structure in the
-// mux shared across threads, guarded by a core spinlock.
+// mux shared across threads, guarded by a FIFO claim/release lock.
 type muxInbox struct {
 	lock core.Lock
 	nc   []net.Conn
@@ -120,10 +120,9 @@ type poller struct {
 }
 
 // newPoller builds one poller thread's world.  The inbox guard comes
-// from the caller: a plain spin lock by default, the FIFO claim/release
-// lock under Options.FairLocks — the accept inbox is the mux front's
-// one cross-thread lock, so under a connection storm it is where an
-// unfair TAS race would starve one side.
+// from the caller — the fabric passes its FIFO claim/release locks: the
+// accept inbox is the mux front's one cross-thread lock, so under a
+// connection storm it is where an unfair TAS race would starve one side.
 func newPoller(id int, lockf core.LockFactory) (*poller, error) {
 	np, err := netpoll.New()
 	if err != nil {
@@ -304,7 +303,7 @@ func (fab *Fabric) pollerMain(p *poller) {
 		}
 
 		fab.frontSys.CheckPreempt()
-		// Reply-wait discipline, the poller analogue of spinWait: while
+		// Reply-wait discipline, the poller analogue of fairWait: while
 		// dispatches are pending, busy passes (Wait timeout 0) poll the
 		// groups; after ReplySpin fruitless passes, nap a fraction of a
 		// tick so a saturated shard doesn't cost a spinning proc.
@@ -488,7 +487,7 @@ func (fab *Fabric) muxReadErr(p *poller, mc *muxConn, err error) bool {
 // batches, not connections.
 func (fab *Fabric) finishDispatch(p *poller, mc *muxConn) {
 	fr := mc.fr
-	resps := fab.collectBatch(fr.reqs, fr.pend, nil, fr.resps[:0])
+	resps := fab.collectBatch(fr.reqs, fr.pend, fr.resps[:0])
 	if fr.badTail.Status != 0 {
 		resps = append(resps, fr.badTail)
 		mc.closing = true

@@ -3,7 +3,7 @@ package shard
 // The reply path's completion structures: the single-assignment reply
 // cell a forwarded request is answered through, the per-batch countdown
 // group that lets a connection thread park once per batch instead of
-// once per straggler, and the adaptive spin discipline both waits share.
+// once per straggler, and the bounded wait it spends on that group.
 //
 // Like the forward ring (ring.go), everything here crosses the
 // front/backend thread-system boundary, so the primitives are bare
@@ -69,82 +69,16 @@ func (g *replyGroup) seal(members int) { g.remaining.Add(int64(members) - openBi
 // resp is readable.
 func (g *replyGroup) done() bool { return g.remaining.Load() == 0 }
 
-// spinState is a connection thread's adaptive reply-spin budget.
-// Replies usually land within one clock tick, so spinning (yielding)
-// briefly beats parking; but when the routed shard is saturated,
-// spinning is pure waste.  The budget backs off exponentially: it
-// halves each time a wait overruns it into a park, and doubles back
-// toward max each time the spin phase wins, so a thread talking to a
-// fast shard spins and a thread stuck behind a deep queue parks almost
-// immediately.  The condition is re-checked after every single yield —
-// a yield can cost a whole scheduler rotation (the pump's sleep, the
-// acceptor's poll window), so skipping checks to "back off" would turn
-// microseconds of slack into milliseconds of overshoot.
-type spinState struct {
-	budget int // current spin allowance, in yields
-	min    int
-	max    int
-}
-
-// newSpinState returns a budget starting (and capped) at max yields.
-func newSpinState(max int) spinState {
-	if max < 1 {
-		max = 1
-	}
-	return spinState{budget: max, min: 1, max: max}
-}
-
-// spinWait waits until cond holds: up to budget yields with a check
-// after each, then park(1) rounds.  It returns the yields and parks
-// spent (metrics inputs) and adapts sp for the next wait.  Both
-// adaptation edges clamp defensively: growth saturates at max (no
-// unbounded doubling, no overflow past a budget that somehow exceeds
-// the cap) and decay floors at min ≥ 1 — so even a degenerate sp (the
-// zero value, whose budget of 0 would otherwise stay 0 forever since
-// 0×2 = 0) converges back into [min, max] on its next win.
-func spinWait(cond func() bool, sp *spinState, yield func(), park func(int64)) (spins, parks int) {
-	if sp.max < 1 {
-		sp.max = 1
-	}
-	if sp.min < 1 {
-		sp.min = 1
-	}
-	for {
-		if cond() {
-			if parks == 0 {
-				switch {
-				case sp.budget < sp.min:
-					sp.budget = sp.min
-				case sp.budget > sp.max/2:
-					sp.budget = sp.max
-				default:
-					sp.budget *= 2
-				}
-			}
-			return spins, parks
-		}
-		if spins < sp.budget {
-			yield()
-			spins++
-			continue
-		}
-		if parks == 0 {
-			if sp.budget /= 2; sp.budget < sp.min {
-				sp.budget = sp.min
-			}
-		}
-		park(1)
-		parks++
-	}
-}
-
-// fairWait is the reply-wait discipline under Options.FairLocks: a
-// fixed allowance of budget yields, then park(1) rounds until cond
-// holds.  Where spinWait adapts — so one connection's history buys it a
-// longer spin phase than its neighbors get — the fair wait is
-// memoryless: every waiter pays exactly the same bounded spin before
-// parking, the reply-side analogue of the claim queue's bounded-wait
-// guarantee.  Returns the yields and parks spent (metrics inputs).
+// fairWait is the reply-wait discipline: a fixed allowance of budget
+// yields (at least one), then park(1) rounds until cond holds.  The
+// wait is memoryless — no connection's history buys it a longer spin
+// phase than its neighbors get, so every waiter pays exactly the same
+// bounded spin before parking, the reply-side analogue of the claim
+// queue's bounded-wait guarantee.  The condition is re-checked after
+// every single yield: a yield can cost a whole scheduler rotation (the
+// pump's sleep, the acceptor's poll window), so skipping checks would
+// turn microseconds of slack into milliseconds of overshoot.  Returns
+// the yields and parks spent (metrics inputs).
 func fairWait(cond func() bool, budget int, yield func(), park func(int64)) (spins, parks int) {
 	if budget < 1 {
 		budget = 1

@@ -68,59 +68,12 @@ func TestReplyGroupToleratesEarlyDeliveryAndSheds(t *testing.T) {
 	grp.seal(0)
 }
 
-// TestSpinWaitAdaptsBudget: a wait that overruns into parks halves the
-// budget; spin-phase wins double it back toward the cap, never past it.
-func TestSpinWaitAdaptsBudget(t *testing.T) {
-	sp := newSpinState(64)
-	if sp.budget != 64 || sp.min != 1 || sp.max != 64 {
-		t.Fatalf("fresh state %+v", sp)
-	}
-
-	// Condition never holds during the spin phase: all 64 yields spent,
-	// then parks until the 3rd park flips it.
-	var parksSeen int
-	cond := func() bool { return parksSeen >= 3 }
-	spins, parks := spinWait(cond, &sp, func() {}, func(int64) { parksSeen++ })
-	if spins != 64 || parks != 3 {
-		t.Fatalf("spent (%d spins, %d parks), want (64, 3)", spins, parks)
-	}
-	if sp.budget != 32 {
-		t.Errorf("budget after a parked wait = %d, want 32 (halved)", sp.budget)
-	}
-
-	// Repeated parked waits keep halving, floored at min.
-	for i := 0; i < 10; i++ {
-		parksSeen = 0
-		spinWait(cond, &sp, func() {}, func(int64) { parksSeen++ })
-	}
-	if sp.budget != sp.min {
-		t.Errorf("budget after sustained parking = %d, want floor %d", sp.budget, sp.min)
-	}
-
-	// A spin-phase win doubles the budget back toward the cap.
-	yields := 0
-	won, wonParks := spinWait(func() bool { return yields >= 1 }, &sp, func() { yields++ }, func(int64) { t.Fatal("parked on an imminent condition") })
-	if won != 1 || wonParks != 0 {
-		t.Fatalf("spent (%d spins, %d parks), want (1, 0)", won, wonParks)
-	}
-	if sp.budget != 2 {
-		t.Errorf("budget after a spin win = %d, want 2 (doubled)", sp.budget)
-	}
-	for i := 0; i < 10; i++ {
-		spinWait(func() bool { return true }, &sp, func() { t.Fatal("yielded on a true condition") }, nil)
-	}
-	if sp.budget != sp.max {
-		t.Errorf("budget after sustained wins = %d, want cap %d", sp.budget, sp.max)
-	}
-}
-
 // TestNoAllocsReplyPath: the steady-state completion machinery — group
 // open/seal, cell delivery, the done poll, and a spin-phase wait — must
 // not touch the heap; it runs once per forwarded batch on the hot path.
 func TestNoAllocsReplyPath(t *testing.T) {
 	grp := &replyGroup{}
 	cells := make([]reply, 8)
-	sp := newSpinState(64)
 	if n := testing.AllocsPerRun(200, func() {
 		grp.open()
 		for i := range cells {
@@ -132,76 +85,33 @@ func TestNoAllocsReplyPath(t *testing.T) {
 			cells[i].deliver(serve.Response{Status: 200})
 		}
 		grp.seal(len(cells))
-		spinWait(grp.done, &sp, func() {}, func(int64) {})
+		fairWait(grp.done, 64, func() {}, func(int64) {})
 	}); n != 0 {
 		t.Fatalf("reply completion path allocates %.1f times per batch", n)
 	}
 }
 
 // TestSpinWaitChecksAfterEveryYield: a yield can cost a whole scheduler
-// rotation, so the condition must be re-checked after each one — a wait
-// whose condition holds after the Nth yield spends exactly N.
+// rotation, so the reply wait's spin phase must re-check the condition
+// after each one — a wait whose condition holds after the Nth yield
+// spends exactly N and never parks.
 func TestSpinWaitChecksAfterEveryYield(t *testing.T) {
-	sp := newSpinState(64)
 	yields := 0
-	spins, parks := spinWait(func() bool { return yields >= 3 }, &sp,
+	spins, parks := fairWait(func() bool { return yields >= 3 }, 64,
 		func() { yields++ }, func(int64) { t.Fatal("parked") })
 	if spins != 3 || parks != 0 {
 		t.Errorf("spent (%d spins, %d parks), want (3, 0)", spins, parks)
 	}
 }
 
-// TestSpinWaitGrowthClampedAtMax pins the doubling edge: a budget
-// sitting above the cap (the cap can drop between waits when a state is
-// rebuilt with a smaller ReplySpin) must saturate at max on a win, not
-// double past it — and a budget at exactly max must stay there, never
-// growing without bound.
-func TestSpinWaitGrowthClampedAtMax(t *testing.T) {
-	sp := spinState{budget: 1 << 40, min: 1, max: 64}
-	spinWait(func() bool { return true }, &sp, nil, nil)
-	if sp.budget != 64 {
-		t.Errorf("oversized budget after a win = %d, want clamped to 64", sp.budget)
-	}
-	for i := 0; i < 5; i++ {
-		spinWait(func() bool { return true }, &sp, nil, nil)
-	}
-	if sp.budget != 64 {
-		t.Errorf("budget after sustained wins at the cap = %d, want 64", sp.budget)
-	}
-}
-
-// TestSpinWaitRecoversFromZeroBudget pins the decay edge: a budget that
-// reached 0 (the zero-value spinState, or a min of 0) must not stay 0
-// forever — 0×2 = 0, so without the clamp such a wait never spins again
-// and every future wait goes straight to a park.  A degenerate state
-// must converge back into [1, max] and spin on its next waits.
-func TestSpinWaitRecoversFromZeroBudget(t *testing.T) {
-	var sp spinState // zero value: budget 0, min 0, max 0
-	parked := 0
-	spinWait(func() bool { return parked >= 1 }, &sp,
-		func() { t.Fatal("yielded with a zero budget") }, func(int64) { parked++ })
-	if sp.min < 1 || sp.max < 1 {
-		t.Fatalf("degenerate bounds not normalized: %+v", sp)
-	}
-	if sp.budget < 1 {
-		t.Fatalf("budget still %d after a parked wait; the floor must hold it ≥ 1", sp.budget)
-	}
-	// A win from the floor must grow the budget, proving 0 is escaped.
-	spinWait(func() bool { return true }, &sp, nil, nil)
-	if sp.budget < 1 {
-		t.Fatalf("budget %d after a win; doubling from 0 must clamp up to ≥ 1", sp.budget)
-	}
-	yields := 0
-	spins, _ := spinWait(func() bool { return yields >= 1 }, &sp,
-		func() { yields++ }, func(int64) { t.Fatal("parked instead of spinning") })
-	if spins != 1 {
-		t.Errorf("recovered state spun %d, want 1", spins)
-	}
-}
-
 // TestFairWaitIsMemoryless: the fair reply wait spends exactly the same
 // bounded spin phase on every invocation — no adaptation, no history —
-// and overruns into parks only past the fixed budget.
+// and overruns into parks only past the fixed budget.  A yield can cost
+// a whole scheduler rotation, so the condition is re-checked after every
+// single yield: a wait whose condition holds after the Nth yield spends
+// exactly N, with one check per yield or park plus the first.  A budget
+// below 1 is clamped to 1, so a degenerate setting still spins once
+// rather than parking on every wait forever.
 func TestFairWaitIsMemoryless(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		parked := 0
@@ -211,19 +121,34 @@ func TestFairWaitIsMemoryless(t *testing.T) {
 			t.Fatalf("round %d spent (%d spins, %d parks), want (8, 2) every round", round, spins, parks)
 		}
 	}
-	// Imminent conditions resolve inside the spin phase, no park.
-	yields := 0
-	spins, parks := fairWait(func() bool { return yields >= 3 }, 8,
-		func() { yields++ }, func(int64) { t.Fatal("parked") })
-	if spins != 3 || parks != 0 {
-		t.Errorf("spent (%d spins, %d parks), want (3, 0)", spins, parks)
+	cases := []struct {
+		budget, needYields, needParks int
+		spins, parks                  int
+	}{
+		{budget: 8, needYields: 0, spins: 0},                         // already true: no yield
+		{budget: 8, needYields: 1, spins: 1},                         // resolves on the first yield
+		{budget: 8, needYields: 3, spins: 3},                         // imminent: inside the spin phase
+		{budget: 8, needYields: 8, spins: 8},                         // exactly the budget, still no park
+		{budget: 8, needYields: 8, needParks: 1, spins: 8, parks: 1}, // one past: parks
+		{budget: 0, needYields: 1, spins: 1},                         // zero budget clamped to 1
+		{budget: -3, needYields: 1, spins: 1},                        // negative budget clamped to 1
+		{budget: 0, needYields: 1, needParks: 2, spins: 1, parks: 2}, // clamped budget, then parks
+		{budget: 2, needYields: 2, needParks: 3, spins: 2, parks: 3}, // small budget, long wait
 	}
-	// A degenerate budget still spins at least once rather than parking
-	// on every wait forever.
-	yields = 0
-	spins, _ = fairWait(func() bool { return yields >= 1 }, 0,
-		func() { yields++ }, func(int64) { t.Fatal("parked with a clamped budget") })
-	if spins != 1 {
-		t.Errorf("zero budget spun %d, want 1 (clamped)", spins)
+	for _, c := range cases {
+		yields, parked, checks := 0, 0, 0
+		cond := func() bool {
+			checks++
+			return yields >= c.needYields && parked >= c.needParks
+		}
+		spins, parks := fairWait(cond, c.budget, func() { yields++ }, func(int64) { parked++ })
+		if spins != c.spins || parks != c.parks {
+			t.Errorf("budget %d, cond after %d yields + %d parks: spent (%d spins, %d parks), want (%d, %d)",
+				c.budget, c.needYields, c.needParks, spins, parks, c.spins, c.parks)
+		}
+		if checks != spins+parks+1 {
+			t.Errorf("budget %d: %d condition checks for %d yields + %d parks, want one after each plus the first",
+				c.budget, checks, spins, parks)
+		}
 	}
 }

@@ -5,9 +5,10 @@ package shard
 // The reply cells and batch-completion groups travelling the other way
 // live in reply.go.
 //
-// The ring is guarded by a core mutex lock — the paper's spinlock — not
-// a semaphore, precisely because its two sides live in different thread
-// systems: a spinlock never parks a thread on a foreign scheduler, so
+// The ring is guarded by a core lock — in the fabric a FIFO
+// claim/release lock (syncx.FairLock), installed by newBackend — not a
+// semaphore, precisely because its two sides live in different thread
+// systems: a core lock never parks a thread on a foreign scheduler, so
 // pushing from the front world into a backend's ring is safe by
 // construction.
 

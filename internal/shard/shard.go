@@ -107,29 +107,12 @@ type Options struct {
 	// HysteresisRounds is how many consecutive periods must propose the
 	// same donor→recipient shift before it is applied (default 2).
 	HysteresisRounds int
-	// ReplySpin caps the adaptive spin budget — yields a connection
-	// thread pays waiting on a reply batch before parking on the clock.
-	// The live budget halves whenever a wait overruns it into a park and
-	// doubles back toward this cap when the spin phase wins (default 64).
+	// ReplySpin is the fixed reply-wait budget: the yields a front
+	// thread pays waiting on a reply batch before parking on the clock,
+	// and the fruitless poll passes a mux poller makes before napping.
+	// Every wait gets the same budget, whatever earlier waits cost
+	// (default 64).
 	ReplySpin int
-	// PerCellReplies restores the pre-coalescing reply path — per-cell
-	// in-order reply waits and one render + socket write per response —
-	// as the benchmark baseline for the batched reply path.
-	PerCellReplies bool
-	// FairLocks swaps the fabric's hot-path spin locks for the FIFO
-	// claim/release protocol (syncx.FairLock): the forward rings'
-	// push/pop/steal lock, the mux accept inbox, and each backend's
-	// admission guards queue contenders in claim order and hand off on
-	// release instead of re-racing, and reply waits drop the adaptive
-	// spin budget for a fixed bounded one — under skewed load no front
-	// thread can lose the acquisition race unboundedly, flattening the
-	// wait tail.  Claim waits are charged to the shard.ring_wait_ticks
-	// histogram (in claim-loop yields).  On an MLAlloc fabric the fair
-	// claim loop polls the GC section exactly as the GC-aware spin locks
-	// do (unless MLGCPlainLocks), so a saturated claim queue never stalls
-	// a collection.  Off by default — the PR 4/5 spin path remains the
-	// ablation baseline.
-	FairLocks bool
 	// DeadlineTicks is the per-request deadline (front clock ticks from
 	// first byte; forwarded with the request, default 2000).
 	DeadlineTicks int64
@@ -201,9 +184,9 @@ type Options struct {
 	// MLAlloc installs the allocating /work/mlalloc kernel on every
 	// member: each backend gets its own gcsync.World (ML heap plus the
 	// clean-point collection barrier), handler threads attach to it as
-	// procs per request, and the member's forward-ring lock is wrapped
-	// GC-aware so a front thread spinning on a push helps a pending
-	// collection instead of convoying the stop.  Off by default.
+	// procs per request, and the member's forward-ring lock polls the
+	// world's GC section so a front thread queued on a push helps a
+	// pending collection instead of convoying the stop.  Off by default.
 	MLAlloc bool
 	// MLNursery/MLSemi/MLChunk/MLRegion size each member's ML heap in
 	// words (defaults 1<<16, 1<<20, 1024, 512).
@@ -211,13 +194,6 @@ type Options struct {
 	MLSemi    int
 	MLChunk   int
 	MLRegion  int
-	// MLGCSequential selects the paper's one-collector stop-the-world
-	// instead of parallel collection — the BENCH_gc ablation baseline.
-	MLGCSequential bool
-	// MLGCPlainLocks drops the GC-aware wrapping from the ring and
-	// admission locks (the second ablation axis): spinners then convoy
-	// any collection raised while they hold or await a lock.
-	MLGCPlainLocks bool
 }
 
 func (o *Options) fill() {
@@ -379,14 +355,12 @@ type fabricMetrics struct {
 	rebalances *metrics.Counter // shifts applied
 	waitTicks  *metrics.Histogram
 
-	// Fair claim/release instruments (Options.FairLocks): how long each
-	// contended claim waited in the FIFO queue, in claim-loop yields.
-	// Registered unconditionally so ablation runs diff the same snapshot
-	// shape; stays zero on the spin path.
+	// Fair claim/release instrument: how long each contended claim on a
+	// hot-path lock waited in the FIFO queue, in claim-loop yields.
 	ringWaitTicks *metrics.Histogram
 
-	// Reply-path instruments: the adaptive spin discipline's outcomes and
-	// the coalesced write batch sizes.
+	// Reply-path instruments: the reply wait's outcomes and the
+	// coalesced write batch sizes.
 	replySpins *metrics.Counter   // yields spent inside reply spin phases
 	replyParks *metrics.Counter   // clock parks after a spin budget ran out
 	writeBatch *metrics.Histogram // responses coalesced per front socket write
@@ -529,12 +503,8 @@ func New(opts Options) (*Fabric, error) {
 		ring:   newChashRing(slots, ringVnodes),
 	})
 	if opts.Mux {
-		inboxLock := core.LockFactory(core.NewMutexLock)
-		if opts.FairLocks {
-			inboxLock = fab.fairLockFactory(nil)
-		}
 		for i := 0; i < opts.Pollers; i++ {
-			p, err := newPoller(i, inboxLock)
+			p, err := newPoller(i, fab.fairLockFactory(nil))
 			if err != nil {
 				tln.Close()
 				return nil, err

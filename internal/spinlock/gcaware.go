@@ -1,12 +1,18 @@
 package spinlock
 
-import "runtime"
-
 // GCWorld is the slice of gcsync.World a GC-aware lock needs: a
 // lock-free flag saying a stop-the-world collection is pending, and a
-// clean point the spinner can take mid-spin.  Declared here as an
+// clean point the waiter can take mid-wait.  Declared here as an
 // interface so this package stays dependency-free, exactly as the
 // paper's functors are closed over structures.
+//
+// syncx.FairLock polls it on every claim-loop iteration, MPL-style
+// (Parallel_lockTake polling Proc_threadInSection before each take
+// attempt): a proc queued on a lock during a pending collection enters
+// the collection first — joining the clean-point barrier if its
+// goroutine is bound to an allocating proc, stealing copying work
+// otherwise — instead of burning cycles while the entire world waits
+// for it, or while the lock holder is itself stopped in the collection.
 type GCWorld interface {
 	// InSection reports a pending or running collection (one atomic load).
 	InSection() bool
@@ -14,52 +20,3 @@ type GCWorld interface {
 	// goroutine at any time.
 	SectionPoint()
 }
-
-// GCAware wraps a lock factory so every acquisition polls the world's
-// GC section, MPL-style (Parallel_lockTake polling Proc_threadInSection
-// before each take attempt): a proc acquiring a lock during a pending
-// collection enters the collection first — joining the clean-point
-// barrier if its goroutine is bound to an allocating proc, stealing
-// copying work otherwise — instead of burning cycles while the entire
-// world waits for it, or worse, while the lock holder is itself stopped
-// in the collection.  Without this, a spinner whose holder has arrived
-// at the barrier convoys the collection for the whole stop.  The poll
-// runs before the *first* try too: serving-path critical sections are
-// sub-microsecond, so a spinner alone would almost never observe the
-// section flag — the pre-try poll is what makes every lock acquisition
-// a safe point.
-//
-// The wrapper spins on the inner lock's TryLock, so the inner flavor's
-// acquisition-order guarantees (Ticket/Anderson FIFO) do not survive
-// wrapping; its memory-visibility guarantees do.  Use it for locks that
-// may be held or wanted across allocation points on a gcsync world —
-// shard rings, reply cells, steal claims.
-func GCAware(f Factory, w GCWorld) Factory {
-	return func() Lock { return &gcAware{inner: f(), w: w} }
-}
-
-type gcAware struct {
-	inner Lock
-	w     GCWorld
-}
-
-func (l *gcAware) TryLock() bool { return l.inner.TryLock() }
-
-func (l *gcAware) Lock() {
-	var spins int64
-	for i := 1; ; i++ {
-		if l.w.InSection() {
-			l.w.SectionPoint()
-		}
-		if l.inner.TryLock() {
-			break
-		}
-		spins++
-		if i%yieldEvery == 0 {
-			runtime.Gosched()
-		}
-	}
-	contended(spins)
-}
-
-func (l *gcAware) Unlock() { l.inner.Unlock() }

@@ -167,7 +167,7 @@ func (l *Backoff) Unlock() {
 // cost of strict ordering.
 //
 // syncx.FairLock extends this claim/release shape into the fair,
-// spin-free protocol the fabric's Options.FairLocks deploys: the same
+// spin-free protocol the serving fabric's hot paths use: the same
 // ticket FIFO, but waiters yield cooperatively on every check instead
 // of spinning a budget, the claim loop doubles as a GC safe point
 // (GCWorld), and TryLock refuses to overtake a queued claim.  This

@@ -18,8 +18,8 @@
 //   - release: the holder advances the now-serving counter, handing the
 //     lock directly to the head claimant instead of re-opening a race.
 //
-// The claim loop is GC-aware in the sense of PR 9 (spinlock.GCAware,
-// MPL's Parallel_lockTake): when constructed over a GCWorld, every wait
+// The claim loop is GC-aware in the sense of MPL's Parallel_lockTake
+// (spinlock.GCWorld): when constructed over a GCWorld, every wait
 // iteration polls the world's section flag and enters/leaves the GC
 // section while queued, so a stop-the-world parallel collection
 // proceeds even with a full claim queue — a parked claimant helps copy
@@ -50,12 +50,11 @@ type FairLock struct {
 // NewFairLock returns an unlocked FairLock with no GC world or observer.
 func NewFairLock() *FairLock { return &FairLock{} }
 
-// FairFactory returns a lock factory producing independent FairLocks,
-// each polling w's GC section while queued (nil w disables the poll) and
-// reporting every contended claim's wait length — in claim-loop yields —
-// to observe (nil disables).  The factory slots anywhere the platform
-// takes a core.LockFactory, exactly as spinlock.GCAware does for the
-// spinning flavors.
+// FairFactory returns a lock factory producing independent FairLock
+// values, each polling w's GC section while queued (nil w disables the
+// poll) and reporting every contended claim's wait length — in
+// claim-loop yields — to observe (nil disables).  The factory slots
+// anywhere the platform takes a core.LockFactory.
 func FairFactory(w spinlock.GCWorld, observe func(iters int64)) core.LockFactory {
 	return func() core.Lock { return &FairLock{w: w, observe: observe} }
 }

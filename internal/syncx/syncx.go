@@ -57,9 +57,9 @@ func NewSemaphore(s Scheduler, initial int) *Semaphore {
 }
 
 // NewSemaphoreWith is NewSemaphore with the guard lock supplied by f —
-// the hook that lets servers sharing a gcsync heap guard their admission
-// semaphores with GC-aware locks (spinlock.GCAware), so a dispatcher
-// spinning for credits cannot convoy a pending collection.
+// the hook that lets servers guard their admission semaphores with
+// FairLock values polling a shared gcsync heap's GC section, so a
+// dispatcher waiting for credits cannot convoy a pending collection.
 func NewSemaphoreWith(s Scheduler, initial int, f core.LockFactory) *Semaphore {
 	if initial < 0 {
 		panic("syncx: negative semaphore count")
