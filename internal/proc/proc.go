@@ -297,12 +297,41 @@ func (pl *Platform) Release() {
 	cont.Exit()
 }
 
+// ReleaseIfRevoked is Revoked and Release as one step: if more procs are
+// live than the current limit allows, the calling proc is returned to the
+// pool and the call never returns; otherwise it returns at once.  The
+// check and the free-list return share one critical section, so when
+// several procs answer the same revocation exactly the surplus leaves —
+// a separate Revoked-then-Release lets two procs both see live > limit
+// and both release, stranding queued work with no proc left to run it.
+func (pl *Platform) ReleaseIfRevoked() {
+	p := Current()
+	pl.mu.Lock()
+	if pl.created-len(pl.free) <= pl.limit || !p.released.CompareAndSwap(false, true) {
+		pl.mu.Unlock()
+		return
+	}
+	pl.retireLocked(p)
+	pl.mu.Unlock()
+	pl.live.Done()
+	cont.Exit()
+}
+
 // release is idempotent so that the root wrapper's deferred release cannot
 // double-free a proc the root function already released.
 func (pl *Platform) release(p *Proc) {
 	if !p.released.CompareAndSwap(false, true) {
 		return
 	}
+	pl.mu.Lock()
+	pl.retireLocked(p)
+	pl.mu.Unlock()
+	pl.live.Done()
+}
+
+// retireLocked returns a proc whose released flag the caller has just
+// set to the free list; the caller holds pl.mu.
+func (pl *Platform) retireLocked(p *Proc) {
 	p.datum = nil
 	pl.m.released.Inc(p.id)
 	// Emit before the token re-enters the free list: once the append below
@@ -310,10 +339,7 @@ func (pl *Platform) release(p *Proc) {
 	// p.id, and the rings are single-writer.  The mutex hand-off is the
 	// happens-before edge between this emit and the acquirer's.
 	pl.tracer.Emit(p.id, pl.evRelease, int64(p.id))
-	pl.mu.Lock()
 	pl.free = append(pl.free, p)
-	pl.mu.Unlock()
-	pl.live.Done()
 }
 
 // Current returns the proc held by the calling goroutine.

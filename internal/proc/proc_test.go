@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cont"
 )
@@ -324,4 +325,47 @@ func releaseOnSignal(pl *Platform, done chan struct{}) *cont.Cont[cont.Unit] {
 		pl.Release()
 	}, nil)
 	return <-ch
+}
+
+// TestReleaseIfRevokedReleasesOnlySurplus: when every proc answers the
+// same revocation at once, exactly the surplus leaves — the check and the
+// release are one step, so two procs can never both see live > limit and
+// both go.
+func TestReleaseIfRevokedReleasesOnlySurplus(t *testing.T) {
+	const n = 4
+	for round := 0; round < 50; round++ {
+		pl := New(n)
+		var arrived, survivors atomic.Int32
+		worker := func() {
+			arrived.Add(1)
+			for arrived.Load() < n {
+				runtime.Gosched()
+			}
+			pl.SetLimit(1)
+			pl.ReleaseIfRevoked()
+			survivors.Add(1)
+			// Hold the proc until the surplus has gone, so a second
+			// survivor cannot be an artifact of this one leaving early.
+			for deadline := time.Now().Add(5 * time.Second); pl.Live() > 1 && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+		}
+		pl.Run(func() {
+			for i := 0; i < n-1; i++ {
+				cont.Callcc(func(k *cont.Cont[cont.Unit]) cont.Unit {
+					if err := pl.Acquire(PS{K: k}); err != nil {
+						t.Errorf("Acquire: %v", err)
+						cont.Throw(k, cont.Unit{})
+					}
+					worker()
+					pl.Release()
+					return cont.Unit{}
+				})
+			}
+			worker()
+		}, nil)
+		if got := survivors.Load(); got != 1 {
+			t.Fatalf("round %d: %d procs survived a revocation to limit 1, want 1", round, got)
+		}
+	}
 }

@@ -493,6 +493,7 @@ func (srv *Server) Hold() (release func()) {
 			srv.holds--
 		}
 		srv.state.Unlock()
+		srv.sys.Kick() // an idling pump re-checks its exit condition now
 	}
 }
 
@@ -532,10 +533,10 @@ func (srv *Server) pump() {
 			return
 		}
 		srv.sys.CheckPreempt()
-		// Bound the busy-wait: sleep a fraction of a tick (briefly holding
-		// this proc), then yield so co-resident threads run.
-		time.Sleep(srv.opts.Tick / 4)
-		srv.sys.Yield()
+		// Wait for the next tick without giving up the proc: Idle yields
+		// while other threads are ready and wakes as soon as one is
+		// rescheduled, so the pump never stands between work and a proc.
+		srv.sys.Idle(time.Until(start.Add(time.Duration(emitted+1) * srv.opts.Tick)))
 	}
 }
 

@@ -254,6 +254,7 @@ func (fab *Fabric) newBackend(slot, procs int) (*backend, error) {
 		gcw = world
 	}
 	b.ring.lock = fab.fairLockFactory(gcw)()
+	srv.OnDrain(b.ring.wake) // a parked intake must see the drain to exit
 	b.phase.Store(phaseJoining)
 	fab.state.Lock()
 	fab.limits[slot] = procs // keep the policy thread's bookkeeping view in step

@@ -228,10 +228,20 @@ func TestPubSubStreamingOnMuxFront(t *testing.T) {
 	if _, term := subs[0].next(t, 30*time.Second); !term {
 		t.Fatal("no chunked terminator after unsubscribe on the mux front")
 	}
-	snap := tf.fab.FrontMetrics().Snapshot()
-	if got := snap.Get("shard.stream_conns"); got != nsubs-1 {
-		t.Errorf("shard.stream_conns = %d, want %d still held", got, nsubs-1)
+	// The poller writes the terminator before it retires the connection
+	// and lowers the gauge, so the client can see the terminator first:
+	// wait, boundedly, for the gauge to settle.
+	var conns int64
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		conns = tf.fab.FrontMetrics().Snapshot().Get("shard.stream_conns")
+		if conns == nsubs-1 || time.Now().After(deadline) {
+			break
+		}
 	}
+	if conns != nsubs-1 {
+		t.Errorf("shard.stream_conns = %d, want %d still held", conns, nsubs-1)
+	}
+	snap := tf.fab.FrontMetrics().Snapshot()
 	if got := snap.Get("shard.stream_frames"); got < 3*nsubs {
 		t.Errorf("shard.stream_frames = %d, want >= %d", got, 3*nsubs)
 	}

@@ -72,3 +72,19 @@ func (fab *Fabric) steal(b *backend, dst []job) int {
 	fab.emit(fab.evSteal, int64(victim.id))
 	return n
 }
+
+// wakeThief rings one sleeping sibling's doorbell once a push has left
+// shard b's ring at StealMin or deeper, so an idle sibling claims the
+// surplus as promptly as it would its own work rather than at its next
+// push.
+func (fab *Fabric) wakeThief(b *backend) {
+	if fab.opts.StealMin <= 0 || b.ring.depth() < fab.opts.StealMin {
+		return
+	}
+	for _, o := range fab.mem.Load().shards {
+		if o != b && o.ring.sleeping.Load() && o.phase.Load() == phaseActive {
+			o.ring.wake()
+			return
+		}
+	}
+}

@@ -15,6 +15,14 @@
 // as Fig. 5's reschedule_thread can bind a value into the continuation
 // before queueing it), paired with the thread's integer id, which dispatch
 // installs in the per-proc datum before transferring control.
+//
+// Idle is the one place a proc may block on time.  A thread that has
+// nothing to do until a deadline — a clock pump waiting for its next
+// tick — calls Idle(d): if another thread is ready it yields to it;
+// otherwise it blocks the proc until a thread is rescheduled onto the
+// system (or another world calls Kick) or d passes.  The proc stays held
+// across the wait, so the system does not quiesce under it, and any
+// reschedule wakes it at the cost of one atomic load while nobody idles.
 package threads
 
 import (
@@ -101,6 +109,10 @@ type System struct {
 	quantum time.Duration
 	preempt []atomic.Bool
 
+	idlers    atomic.Int32               // procs blocked in Idle
+	wake      chan struct{}              // 1-buffered: a reschedule or Kick wakes one idler
+	idleTimer atomic.Pointer[time.Timer] // reused by Idle; nil while an idler holds it
+
 	reg *metrics.Registry
 	m   sysMetrics
 
@@ -131,6 +143,7 @@ func New(pl *proc.Platform, opts Options) *System {
 		nextIDLock:  opts.NewLock(),
 		quantum:     opts.Quantum,
 		preempt:     make([]atomic.Bool, pl.MaxProcs()),
+		wake:        make(chan struct{}, 1),
 		reg:         pl.Metrics(),
 		tracer:      opts.Tracer,
 	}
@@ -254,6 +267,70 @@ func (s *System) reschedule(self int, run func(), id int) {
 	rq.lock.Lock()
 	rq.q.Enq(Entry{Run: run, ID: id})
 	rq.lock.Unlock()
+	// Idle publishes itself in idlers before its last look at the
+	// queues, so either it sees this entry or this load sees it.
+	if s.idlers.Load() > 0 {
+		s.Kick()
+	}
+}
+
+// Kick wakes one proc blocked in Idle, or makes the next Idle return at
+// once if none is.  It never blocks and is safe from any goroutine, so
+// another world (or a host goroutine) can end an idle wait after making
+// work visible to it by other means than Reschedule.
+func (s *System) Kick() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Idle waits up to d for work on behalf of a thread with nothing to do
+// until then.  If any thread is ready it yields to it.  Otherwise it
+// blocks the calling proc — still held, so the system cannot quiesce —
+// until a thread is rescheduled onto this system, Kick is called, or d
+// passes.  It may return early; callers re-check their own condition.
+func (s *System) Idle(d time.Duration) {
+	if s.ready() {
+		s.Yield()
+		return
+	}
+	if d <= 0 {
+		return
+	}
+	s.idlers.Add(1)
+	if s.ready() {
+		s.idlers.Add(-1)
+		s.Yield()
+		return
+	}
+	t := s.idleTimer.Swap(nil)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	select {
+	case <-s.wake:
+	case <-t.C:
+	}
+	t.Stop()
+	s.idleTimer.Store(t)
+	s.idlers.Add(-1)
+}
+
+// ready reports whether any run queue holds a thread.
+func (s *System) ready() bool {
+	for i := range s.queues {
+		rq := &s.queues[i]
+		rq.lock.Lock()
+		n := rq.q.Len()
+		rq.lock.Unlock()
+		if n > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // RescheduleCont queues a plain unit continuation, the common case.
@@ -274,10 +351,7 @@ func (s *System) Dispatch() { s.dispatch(proc.Current()) }
 func (s *System) dispatch(p *proc.Proc) {
 	self := p.ID()
 	s.m.dispatches.Inc(self)
-	if s.pl.Revoked() {
-		s.pl.Release()
-		panic("threads: Release returned")
-	}
+	s.pl.ReleaseIfRevoked()
 	if e, ok := s.pop(self); ok {
 		p.SetDatum(e.ID)
 		s.tracer.Emit(self, s.evDispatch, int64(e.ID))

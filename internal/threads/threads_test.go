@@ -443,3 +443,79 @@ func TestTracedSystemNoRace(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleYieldsToReadyThread: Idle with a thread ready runs that
+// thread instead of blocking the proc, however long d is.
+func TestIdleYieldsToReadyThread(t *testing.T) {
+	s := newSys(1, Options{})
+	var parentRan atomic.Bool
+	var elapsed time.Duration
+	s.Run(func() {
+		// One proc: the child runs here and the parent waits queued.
+		s.Fork(func() {
+			t0 := time.Now()
+			s.Idle(10 * time.Second)
+			elapsed = time.Since(t0)
+		})
+		parentRan.Store(true)
+	})
+	if !parentRan.Load() {
+		t.Fatal("the ready parent never ran")
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("Idle blocked %v with a thread ready", elapsed)
+	}
+}
+
+// TestIdleWaitsOutDeadline: with nothing ready and nobody waking it,
+// Idle holds the proc for d, and a second call reuses the timer.
+func TestIdleWaitsOutDeadline(t *testing.T) {
+	s := newSys(1, Options{})
+	var elapsed [2]time.Duration
+	s.Run(func() {
+		for i := range elapsed {
+			t0 := time.Now()
+			s.Idle(20 * time.Millisecond)
+			elapsed[i] = time.Since(t0)
+		}
+	})
+	for i, e := range elapsed {
+		if e < 15*time.Millisecond {
+			t.Errorf("Idle #%d returned after %v, want about 20ms", i, e)
+		}
+	}
+}
+
+// TestIdleWakesOnRescheduleAndKick: an idle proc wakes promptly when
+// another goroutine reschedules a thread onto the system or kicks it.
+func TestIdleWakesOnRescheduleAndKick(t *testing.T) {
+	for _, viaKick := range []bool{false, true} {
+		s := newSys(1, Options{})
+		var ran atomic.Bool
+		var elapsed time.Duration
+		go func() {
+			for deadline := time.Now().Add(10 * time.Second); s.idlers.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if viaKick {
+				s.Kick()
+				return
+			}
+			s.Reschedule(func() {
+				ran.Store(true)
+				s.Exit()
+			}, 99)
+		}()
+		s.Run(func() {
+			t0 := time.Now()
+			s.Idle(10 * time.Second)
+			elapsed = time.Since(t0)
+		})
+		if elapsed > 2*time.Second {
+			t.Fatalf("kick=%v: Idle took %v to wake", viaKick, elapsed)
+		}
+		if !viaKick && !ran.Load() {
+			t.Fatal("rescheduled thread never ran")
+		}
+	}
+}
