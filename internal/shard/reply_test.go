@@ -85,7 +85,7 @@ func TestNoAllocsReplyPath(t *testing.T) {
 			cells[i].deliver(serve.Response{Status: 200})
 		}
 		grp.seal(len(cells))
-		fairWait(grp.done, 64, func() {}, func(int64) {})
+		fairWait(grp.done, 64, func() {}, func() {})
 	}); n != 0 {
 		t.Fatalf("reply completion path allocates %.1f times per batch", n)
 	}
@@ -98,7 +98,7 @@ func TestNoAllocsReplyPath(t *testing.T) {
 func TestSpinWaitChecksAfterEveryYield(t *testing.T) {
 	yields := 0
 	spins, parks := fairWait(func() bool { return yields >= 3 }, 64,
-		func() { yields++ }, func(int64) { t.Fatal("parked") })
+		func() { yields++ }, func() { t.Fatal("parked") })
 	if spins != 3 || parks != 0 {
 		t.Errorf("spent (%d spins, %d parks), want (3, 0)", spins, parks)
 	}
@@ -116,7 +116,7 @@ func TestFairWaitIsMemoryless(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		parked := 0
 		spins, parks := fairWait(func() bool { return parked >= 2 }, 8,
-			func() {}, func(int64) { parked++ })
+			func() {}, func() { parked++ })
 		if spins != 8 || parks != 2 {
 			t.Fatalf("round %d spent (%d spins, %d parks), want (8, 2) every round", round, spins, parks)
 		}
@@ -141,7 +141,7 @@ func TestFairWaitIsMemoryless(t *testing.T) {
 			checks++
 			return yields >= c.needYields && parked >= c.needParks
 		}
-		spins, parks := fairWait(cond, c.budget, func() { yields++ }, func(int64) { parked++ })
+		spins, parks := fairWait(cond, c.budget, func() { yields++ }, func() { parked++ })
 		if spins != c.spins || parks != c.parks {
 			t.Errorf("budget %d, cond after %d yields + %d parks: spent (%d spins, %d parks), want (%d, %d)",
 				c.budget, c.needYields, c.needParks, spins, parks, c.spins, c.parks)
